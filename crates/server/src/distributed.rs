@@ -12,7 +12,8 @@
 //! ships each atomic sub-query to every server whose zone can intersect
 //! its scope (the owner of the base plus carved-out subdomains), merges
 //! the disjoint sorted responses, and the ordinary [`Evaluator`] runs
-//! the operator tree locally.
+//! the operator tree locally. Within one request the router shares
+//! repeated sub-queries, so each distinct atomic is shipped once.
 //!
 //! [`Cluster`] is the in-process packaging: running [`ServerNode`]
 //! threads plus a [`Router`] over the channel transport. The
@@ -115,6 +116,10 @@ pub struct ClusterParts {
     pub partitions: Vec<Vec<Entry>>,
     /// Entries that matched no declared context.
     pub orphaned: usize,
+    /// Intra-query parallelism degree for the router (at least 1).
+    pub eval_threads: usize,
+    /// Cost-based planner for the router, if any.
+    pub planner: Option<Arc<Planner>>,
 }
 
 impl ClusterBuilder {
@@ -196,13 +201,13 @@ impl ClusterBuilder {
             delegation,
             partitions,
             orphaned,
+            eval_threads: self.eval_threads.max(1),
+            planner: self.planner,
         }
     }
 
     /// Partition `dir` by longest-matching context and spawn the nodes.
-    pub fn build(mut self, dir: &Directory) -> Cluster {
-        let eval_threads = self.eval_threads.max(1);
-        let planner = self.planner.take();
+    pub fn build(self, dir: &Directory) -> Cluster {
         let parts = self.into_parts(dir);
         let nodes: Vec<ServerNode> = parts
             .configs
@@ -212,9 +217,9 @@ impl ClusterBuilder {
             .collect();
         let transport =
             ChannelTransport::new(nodes.iter().map(|n| n.sender()).collect());
-        let mut router =
-            Router::new(parts.delegation, Box::new(transport)).with_eval_threads(eval_threads);
-        if let Some(p) = planner {
+        let mut router = Router::new(parts.delegation, Box::new(transport))
+            .with_eval_threads(parts.eval_threads);
+        if let Some(p) = parts.planner {
             router = router.with_planner(p);
         }
         Cluster {
@@ -366,13 +371,6 @@ impl Router {
         self.health.force_down(id, down);
     }
 
-    /// **Deprecated** — use [`Router::force_down`], which no longer
-    /// needs `&mut` now that liveness lives behind interior mutability.
-    /// Kept as a shim so pre-breaker callers compile unchanged.
-    pub fn set_down(&mut self, id: ServerId, down: bool) {
-        self.force_down(id, down);
-    }
-
     /// Is the server currently unavailable (forced down or breaker
     /// open)?
     pub fn is_down(&self, id: ServerId) -> bool {
@@ -417,29 +415,29 @@ impl Router {
         let planned = self.planner.as_ref().map(|p| p.plan(query));
         let query = planned.as_ref().map_or(query, |p| &p.query);
         let out = match &self.planner {
-            Some(p) => {
-                let observing = ObservingSource::new(&source, p.catalog());
-                let evaluator = Evaluator::new(&observing, pager);
-                if self.eval_threads > 1 {
-                    evaluator.evaluate_parallel(query, self.eval_threads)?
-                } else {
-                    evaluator.evaluate(query)?
-                }
-            }
-            None => {
-                let evaluator = Evaluator::new(&source, pager);
-                if self.eval_threads > 1 {
-                    evaluator.evaluate_parallel(query, self.eval_threads)?
-                } else {
-                    evaluator.evaluate(query)?
-                }
-            }
+            Some(p) => self.evaluate(&ObservingSource::new(&source, p.catalog()), pager, query)?,
+            None => self.evaluate(&source, pager, query)?,
         };
         let entries = out.to_vec().map_err(QueryError::from)?;
         Ok(QueryOutcome {
             entries,
             partial: source.into_partial(),
         })
+    }
+
+    /// Evaluate `query` over `source` at the configured degree, sharing
+    /// sub-queries within the request: each distinct sub-tree, and so
+    /// each distinct atomic fetch, runs once, with the answer bytes of
+    /// unshared evaluation.
+    fn evaluate<S: AtomicSource + Sync>(
+        &self,
+        source: &S,
+        pager: &Pager,
+        query: &Query,
+    ) -> QueryResult<PagedList<Entry>> {
+        Evaluator::new(source, pager)
+            .with_memo()
+            .evaluate_parallel(query, self.eval_threads)
     }
 
     /// Evaluate `query` as posed to server `home` and return its result
@@ -464,10 +462,15 @@ impl Router {
         // Traced evaluation stays sequential regardless of `eval_threads`:
         // per-node I/O attribution snapshots the shared ledger around each
         // node, which is only meaningful when nodes run one at a time.
+        // It shares sub-queries like untraced evaluation, so tracing does
+        // not change which fetches run; a shared sub-tree's repeats trace
+        // as zero-I/O spans, one per node.
         let planned = self.planner.as_ref().map(|p| p.plan(query));
         let query = planned.as_ref().map_or(query, |p| &p.query);
         let started = self.clock.now();
-        let (out, traces) = Evaluator::new(&source, pager).evaluate_traced(query)?;
+        let (out, traces) = Evaluator::new(&source, pager)
+            .with_memo()
+            .evaluate_traced(query)?;
         let elapsed =
             u64::try_from(self.clock.now().saturating_sub(started).as_nanos()).unwrap_or(u64::MAX);
         let trace = netdir_query::build_trace(query, &traces, elapsed);
@@ -617,15 +620,6 @@ impl Cluster {
     /// Direct handle to a node (tests, baseline measurements).
     pub fn node(&self, id: ServerId) -> &ServerNode {
         &self.nodes[id]
-    }
-
-    /// Simulate an outage of `server` (by name): subsequent routing
-    /// skips it, falling back to secondaries of its zones.
-    ///
-    /// **Deprecated** — use [`Cluster::force_down`], which no longer
-    /// needs `&mut`. Kept as a shim for pre-breaker callers.
-    pub fn set_down(&mut self, server: &str, down: bool) {
-        self.force_down(server, down);
     }
 
     /// Force an outage of `server` (by name): subsequent routing skips
@@ -980,7 +974,7 @@ mod tests {
 
     #[test]
     fn secondary_takes_over_when_primary_is_down() {
-        let mut c = ClusterBuilder::new()
+        let c = ClusterBuilder::new()
             .server("root", dn("dc=com"))
             .server("att", dn("dc=att, dc=com"))
             .secondary("att-backup", dn("dc=att, dc=com"))
@@ -995,17 +989,17 @@ mod tests {
         let before = c.query_from("root", &pager, &q).unwrap();
         assert_eq!(before.len(), 2);
         // Primary down → the secondary answers; results identical.
-        c.set_down("att", true);
+        c.force_down("att", true);
         let after = c.query_from("root", &pager, &q).unwrap();
         assert_eq!(
             before.iter().map(|e| e.dn().to_string()).collect::<Vec<_>>(),
             after.iter().map(|e| e.dn().to_string()).collect::<Vec<_>>()
         );
         // Both replicas down → the zone is unreachable.
-        c.set_down("att-backup", true);
+        c.force_down("att-backup", true);
         assert!(c.query_from("root", &pager, &q).is_err());
         // Recovery.
-        c.set_down("att", false);
+        c.force_down("att", false);
         assert_eq!(c.query_from("root", &pager, &q).unwrap().len(), 2);
     }
 
@@ -1185,6 +1179,111 @@ mod tests {
             v.iter().map(|e| e.dn().to_string()).collect()
         };
         assert_eq!(names(&strict), names(&out.entries));
+    }
+
+    /// Encoded entry bytes, as they ship on the wire.
+    fn entry_bytes(entries: &[Entry]) -> Vec<Vec<u8>> {
+        use netdir_pager::record::Record;
+        entries
+            .iter()
+            .map(|e| {
+                let mut buf = Vec::new();
+                e.encode(&mut buf);
+                buf
+            })
+            .collect()
+    }
+
+    /// Evaluate `q` through `router` without sub-query sharing: the
+    /// reference the shared router path must reproduce byte for byte.
+    fn unshared(
+        router: &Router,
+        pager: &Pager,
+        q: &Query,
+        mode: ConsistencyMode,
+    ) -> (Vec<Entry>, Vec<PartitionError>) {
+        let source = RoutingSource {
+            router,
+            home: 0,
+            pager: pager.clone(),
+            mode,
+            partial: Mutex::new(Vec::new()),
+        };
+        let out = Evaluator::new(&source, pager).evaluate(q).unwrap();
+        (out.to_vec().unwrap(), source.into_partial())
+    }
+
+    #[test]
+    fn shared_subqueries_fetch_each_distinct_atomic_once_per_zone() {
+        use netdir_apps::PolicyEngine;
+        use netdir_index::IndexedDirectory;
+        use netdir_model::ldif::entry_to_ldif;
+        use netdir_workloads::qos::{qos_generate, Packet, QosParams, QOS_BASE};
+        use rand::SeedableRng;
+        use std::collections::HashSet;
+
+        // Every atomic of the decision query is `(QOS_BASE ? sub ? …)`,
+        // which spans the policy zone and its two carved-out sub-zones.
+        let dir = qos_generate(QosParams::default(), 7);
+        let zones = 3u64;
+        let build = |threads: usize| {
+            ClusterBuilder::new()
+                .server("root", dn("dc=com"))
+                .server("policies", dn(QOS_BASE))
+                .server("profiles", dn(&format!("ou=trafficProfile, {QOS_BASE}")))
+                .server(
+                    "periods",
+                    dn(&format!("ou=policyValidityPeriod, {QOS_BASE}")),
+                )
+                .eval_threads(threads)
+                .build(&dir)
+        };
+        let pager = netdir_pager::default_pager();
+        let idx = IndexedDirectory::build(&pager, &dir).unwrap();
+        let engine = PolicyEngine::new(&idx, &pager, dn(QOS_BASE));
+        // The action query of a packet some policy governs, and its answer
+        // from a plain evaluator over the whole directory.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let (q, expect) = std::iter::repeat_with(|| engine.decide(&Packet::random(&mut rng)))
+            .take(64)
+            .map(|d| d.unwrap())
+            .find(|d| !d.actions.is_empty())
+            .map(|d| {
+                let plain = Evaluator::new(&idx, &pager).evaluate(&d.query).unwrap();
+                (d.query, plain.to_vec().unwrap())
+            })
+            .expect("some packet is governed");
+        let atomics = q.atomic_subqueries();
+        let distinct = atomics.iter().collect::<HashSet<_>>().len() as u64;
+        assert!(distinct < atomics.len() as u64, "the query repeats atomics");
+        // Entry ids are per store; compare the directory content.
+        let ldif = |v: &[Entry]| v.iter().map(entry_to_ldif).collect::<Vec<_>>();
+
+        for threads in [1, 4] {
+            let c = build(threads);
+            let attempts = || c.router().retry_stats().snapshot().attempts;
+            let before = attempts();
+            let out = c
+                .query_from_with("root", &pager, &q, ConsistencyMode::Strict)
+                .unwrap();
+            assert_eq!(attempts() - before, distinct * zones, "degree {threads}");
+            assert_eq!(ldif(&out.entries), ldif(&expect), "degree {threads}");
+            let (reference, _) = unshared(c.router(), &pager, &q, ConsistencyMode::Strict);
+            assert_eq!(entry_bytes(&out.entries), entry_bytes(&reference));
+
+            // A dead partition: the shared Partial answer and skip account
+            // equal those of unshared evaluation.
+            c.force_down("profiles", true);
+            let before = attempts();
+            let shared = c
+                .query_from_with("root", &pager, &q, ConsistencyMode::Partial)
+                .unwrap();
+            assert_eq!(attempts() - before, distinct * (zones - 1));
+            let (reference, account) = unshared(c.router(), &pager, &q, ConsistencyMode::Partial);
+            assert_eq!(entry_bytes(&shared.entries), entry_bytes(&reference));
+            assert_eq!(account.len(), 1);
+            assert_eq!(shared.partial, account, "degree {threads}");
+        }
     }
 
     /// A cluster whose transport is wrapped in a seeded [`FaultTransport`].

@@ -31,11 +31,16 @@
 //! submitted as one atomic mutation batch: either every change lands
 //! durably on the daemon, or none does and the rejection prints.
 //! `--apply -` reads the changes from stdin.
+//!
+//! Output goes through one locked, buffered stdout. When the reader goes
+//! away early (`ndquery … | head`), the broken pipe ends the program
+//! quietly with status 0 instead of a panic.
 
 use netdir_journal::MutationBatch;
 use netdir_model::ldif::entry_to_ldif;
 use netdir_obs::TimeDisplay;
 use netdir_wire::{ClientOptions, WireClient, WireError};
+use std::io::{self, BufWriter, Write};
 use std::net::ToSocketAddrs;
 use std::process::exit;
 use std::time::Duration;
@@ -78,6 +83,36 @@ fn fail(e: WireError) -> ! {
             exit(1)
         }
     }
+}
+
+/// Write through a locked, buffered stdout. A reader that closed early
+/// (`BrokenPipe`) ends the program with status 0; any other write error
+/// is reported and exits 1.
+fn emit(write: impl FnOnce(&mut dyn Write) -> io::Result<()>) {
+    let stdout = io::stdout();
+    let mut out = BufWriter::new(stdout.lock());
+    let result = write(&mut out).and_then(|()| out.flush());
+    match result {
+        Ok(()) => {}
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => exit(0),
+        Err(e) => {
+            eprintln!("ndquery: cannot write output: {e}");
+            exit(1)
+        }
+    }
+}
+
+/// Print entries as LDIF, one blank-line-separated block each.
+fn emit_entries(entries: &[netdir_model::Entry]) {
+    emit(|out| {
+        for (i, e) in entries.iter().enumerate() {
+            if i > 0 {
+                writeln!(out)?;
+            }
+            write!(out, "{}", entry_to_ldif(e))?;
+        }
+        Ok(())
+    });
 }
 
 fn main() {
@@ -134,21 +169,21 @@ fn main() {
 
     if ping {
         match client.ping() {
-            Ok(()) => println!("{addr} is alive"),
+            Ok(()) => emit(|out| writeln!(out, "{addr} is alive")),
             Err(e) => fail(e),
         }
         return;
     }
     if shutdown {
         match client.shutdown_server() {
-            Ok(()) => println!("{addr} acknowledged shutdown"),
+            Ok(()) => emit(|out| writeln!(out, "{addr} acknowledged shutdown")),
             Err(e) => fail(e),
         }
         return;
     }
     if stats {
         match client.stats() {
-            Ok(text) => print!("{text}"),
+            Ok(text) => emit(|out| write!(out, "{text}")),
             Err(e) => fail(e),
         }
         return;
@@ -184,9 +219,12 @@ fn main() {
             exit(1)
         }
         match client.apply(&batch) {
-            Ok((epoch, mutations)) => {
-                println!("applied {mutations} mutations; directory at epoch {epoch}");
-            }
+            Ok((epoch, mutations)) => emit(|out| {
+                writeln!(
+                    out,
+                    "applied {mutations} mutations; directory at epoch {epoch}"
+                )
+            }),
             Err(e) => fail(e),
         }
         return;
@@ -196,7 +234,7 @@ fn main() {
     if analyze {
         match client.query_analyze(&home, &query) {
             Ok((entries, trace)) => {
-                print!("{}", trace.render(TimeDisplay::Show));
+                emit(|out| write!(out, "{}", trace.render(TimeDisplay::Show)));
                 eprintln!("# {} entries", entries.len());
             }
             Err(e) => fail(e),
@@ -206,12 +244,7 @@ fn main() {
     if partial {
         match client.query_partial(&home, &query) {
             Ok(outcome) => {
-                for (i, e) in outcome.entries.iter().enumerate() {
-                    if i > 0 {
-                        println!();
-                    }
-                    print!("{}", entry_to_ldif(e));
-                }
+                emit_entries(&outcome.entries);
                 for skip in &outcome.partial {
                     eprintln!("# partial: skipped zone {skip}");
                 }
@@ -227,12 +260,7 @@ fn main() {
     }
     match client.query(&home, &query) {
         Ok(entries) => {
-            for (i, e) in entries.iter().enumerate() {
-                if i > 0 {
-                    println!();
-                }
-                print!("{}", entry_to_ldif(e));
-            }
+            emit_entries(&entries);
             eprintln!("# {} entries", entries.len());
         }
         Err(e) => fail(e),

@@ -4,7 +4,8 @@
 //! [`WireCluster::launch`] takes the same [`ClusterBuilder`] a channel
 //! cluster takes, partitions the directory with
 //! [`ClusterBuilder::into_parts`] (so TCP and in-process deployments can
-//! never partition differently), then gives every server its own
+//! never partition differently, and both routers take the builder's
+//! parallelism degree and planner), then gives every server its own
 //! [`WireServer`] on an ephemeral loopback port. A shared [`Router`]
 //! over [`SocketTransport`] provides distributed evaluation; each
 //! daemon also answers full `Query` frames by running that router
@@ -312,7 +313,7 @@ impl WireCluster {
             servers.push(server);
         }
         let transport = SocketTransport::connect(&addrs, client_opts.clone());
-        let (fault_stats, shared_router) = match plan {
+        let (fault_stats, mut shared_router) = match plan {
             None => (None, Router::new(parts.delegation, Box::new(transport))),
             Some(plan) => {
                 let fault = FaultTransport::new(Box::new(transport), plan.faults);
@@ -323,6 +324,10 @@ impl WireCluster {
                 (Some(stats), r)
             }
         };
+        shared_router = shared_router.with_eval_threads(parts.eval_threads);
+        if let Some(p) = parts.planner {
+            shared_router = shared_router.with_planner(p);
+        }
         let _ = router.set(shared_router);
         if let Some(stats) = &fault_stats {
             let _ = fault_slot.set(stats.clone());

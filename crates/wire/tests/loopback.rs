@@ -270,6 +270,52 @@ fn analyze_over_tcp_traces_every_operator_and_matches_strict() {
 }
 
 #[test]
+fn shared_subqueries_analyze_over_tcp_matches_strict_and_feeds_the_planner() {
+    // The (c …) sub-tree appears twice and its first atom three times:
+    // ANALYZE serves the repeats from the request's shared results and
+    // still reports one span per query node.
+    let child = "(c (dc=com ? sub ? objectClass=thing) \
+                    (dc=research, dc=att, dc=com ? base ? objectClass=thing))";
+    let text = format!("(| {child} (& {child} (dc=com ? sub ? objectClass=thing)))");
+    let query = parse_query(&text).unwrap();
+    assert_eq!(query.num_nodes(), 9);
+    let dir = dir();
+    for threads in [1, 4] {
+        let wire = WireCluster::launch_default(builder().eval_threads(threads), &dir).unwrap();
+        let client = wire.client(wire.server_id("att").unwrap());
+        let strict = client.query_encoded("att", &text).unwrap();
+        assert!(!strict.is_empty(), "dead test query");
+        let (entries, trace) = client.query_analyze("att", &text).unwrap();
+        assert_eq!(
+            encode_entries(&entries),
+            strict,
+            "analyzed != strict at degree {threads}"
+        );
+        assert_eq!(trace.spans.len(), query.num_nodes(), "degree {threads}");
+        assert_eq!(trace.root_entries(), entries.len() as u64);
+        let outcome = client.query_partial("att", &text).unwrap();
+        assert_eq!(
+            encode_entries(&outcome.entries),
+            strict,
+            "partial != strict"
+        );
+    }
+
+    // A planned cluster accepts the trace and learns from it.
+    let planner = std::sync::Arc::new(netdir_query::Planner::new());
+    let wire = WireCluster::launch_default(builder().planner(planner.clone()), &dir).unwrap();
+    let client = wire.client(wire.server_id("att").unwrap());
+    let strict = client.query_encoded("att", &text).unwrap();
+    let before = planner.snapshot().catalog_observations;
+    let (entries, _) = client.query_analyze("att", &text).unwrap();
+    assert_eq!(encode_entries(&entries), strict);
+    assert!(
+        planner.snapshot().catalog_observations > before,
+        "the ANALYZE trace must reach the stats catalog"
+    );
+}
+
+#[test]
 fn stats_frame_serves_every_tracked_metric() {
     let dir = dir();
     let wire = WireCluster::launch_default(builder(), &dir).unwrap();

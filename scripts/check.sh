@@ -14,7 +14,9 @@
 #                                   schema and tracked-metric coverage
 #   scripts/check.sh --par-smoke    gate + the parallel-evaluation
 #                                   guards run explicitly: determinism
-#                                   property tests, the buffer-pool
+#                                   property tests, the per-request
+#                                   sub-query sharing tests (evaluator,
+#                                   router, loopback ANALYZE), the buffer-pool
 #                                   concurrency hammer, and a degree
 #                                   sweep landing in target/
 #                                   BENCH_smoke.json (schema validated)
@@ -118,6 +120,9 @@ fi
 if [ "$par_smoke" = 1 ]; then
   echo "check.sh: running parallel-evaluation guards"
   cargo test -q -p netdir-query --test parallel_prop
+  cargo test -q -p netdir-query --lib shared_subqueries
+  cargo test -q -p netdir-server --lib shared_subqueries
+  cargo test -q -p netdir-wire --test loopback shared_subqueries
   cargo test -q -p netdir-pager --test concurrent_pool
   cargo test -q -p netdir-pager par
   cargo test -q -p netdir-bench smoke_sweep
