@@ -9,15 +9,27 @@
 //! Two strategies, matching how real servers plan:
 //!
 //! * **Index probe** — look up candidate entry ids in the matching index,
-//!   keep those whose sort key falls in scope, fetch their entries from
-//!   the DN table (random page reads, amortized by the buffer pool), and
-//!   emit in key order. Good for selective filters.
+//!   keep those whose position falls in the scope's rank interval, fetch
+//!   their entries from the DN table by position (random page reads,
+//!   amortized by the buffer pool), and emit in key order. Good for
+//!   selective filters.
 //! * **Scope scan** — sequentially read exactly the pages covering the
 //!   base's subtree and filter. Good for broad filters and small scopes,
 //!   and the predictable-cost path used by the I/O experiments.
 //!
-//! [`IndexedDirectory::evaluate_atomic`] picks a strategy; both are also
-//! exposed directly.
+//! Scope filtering of probe candidates needs no key comparisons: the
+//! table is sorted by reverse DN, so a subtree is one contiguous run of
+//! positions `[lo, hi)` (§4.1), found once per query by two binary
+//! searches (`DnTable::scope_range`). Each candidate then costs one
+//! id → position lookup and an integer compare; `One` adds a depth check
+//! on the in-memory key.
+//!
+//! Every strategy is a *visit*: [`IndexedDirectory::visit_atomic`] and
+//! [`IndexedDirectory::visit_scope`] hand each hit, in key order, to a
+//! caller's sink. The `evaluate_*` methods are that visit with a
+//! [`ListWriter`] as the sink, producing the [`PagedList`] the operators
+//! consume; a server node instead encodes hits straight into its reply
+//! and so writes no page while serving.
 
 use crate::btree::StaticBTree;
 use crate::dn_table::DnTable;
@@ -25,7 +37,7 @@ use crate::suffix::SuffixIndex;
 use crate::trie::Trie;
 use netdir_filter::{AtomicFilter, CompositeFilter, LdapQuery, Scope};
 use netdir_filter::atomic::IntOp;
-use netdir_model::{AttrName, Directory, Dn, Entry, EntryId, SortKey, Value};
+use netdir_model::{AttrName, Directory, Dn, Entry, EntryId, Value};
 use netdir_pager::{ListWriter, PagedList, Pager, PagerResult};
 use std::collections::BTreeMap;
 
@@ -36,8 +48,6 @@ pub struct IndexedDirectory {
     tries: BTreeMap<AttrName, Trie>,
     suffixes: BTreeMap<AttrName, SuffixIndex>,
     presence: BTreeMap<AttrName, Vec<EntryId>>,
-    /// id → sort key for scope filtering of index hits.
-    keys: BTreeMap<EntryId, SortKey>,
 }
 
 impl IndexedDirectory {
@@ -50,10 +60,8 @@ impl IndexedDirectory {
         let mut string_occurrences: BTreeMap<AttrName, Vec<(String, EntryId)>> =
             BTreeMap::new();
         let mut presence: BTreeMap<AttrName, Vec<EntryId>> = BTreeMap::new();
-        let mut keys = BTreeMap::new();
 
         for e in dir.iter_sorted() {
-            keys.insert(e.id(), e.dn().sort_key().clone());
             let mut seen_attrs: Vec<&AttrName> = Vec::new();
             for (a, v) in e.pairs() {
                 if seen_attrs.last() != Some(&a) {
@@ -95,7 +103,6 @@ impl IndexedDirectory {
             tries,
             suffixes,
             presence,
-            keys,
         })
     }
 
@@ -174,46 +181,75 @@ impl IndexedDirectory {
         }
     }
 
+    /// Visit the answer of an atomic query in key order: index probe,
+    /// falling back to a scope scan when no index applies. `visit` sees
+    /// each hit once; its error aborts the visit.
+    pub fn visit_atomic(
+        &self,
+        base: &Dn,
+        scope: Scope,
+        filter: &AtomicFilter,
+        mut visit: impl FnMut(&Entry) -> PagerResult<()>,
+    ) -> PagerResult<()> {
+        let Some(ids) = self.probe(filter) else {
+            return self.visit_scope(base, scope, |e| filter.matches(e), visit);
+        };
+        let range = self.table.scope_range(base, scope);
+        let mut hits: Vec<u32> = ids
+            .into_iter()
+            .filter_map(|id| self.table.position(id))
+            .filter(|&pos| self.table.in_scope(&range, pos, base, scope))
+            .collect();
+        hits.sort_unstable();
+        hits.dedup();
+        for pos in hits {
+            if let Some(e) = self.table.get_at(pos)? {
+                // Verify (substring candidates are approximate).
+                if filter.matches(&e) {
+                    visit(&e)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Visit the entries within `scope` of `base` satisfying `pred`, in
+    /// key order, by scanning the scope's pages.
+    pub fn visit_scope(
+        &self,
+        base: &Dn,
+        scope: Scope,
+        pred: impl Fn(&Entry) -> bool,
+        mut visit: impl FnMut(&Entry) -> PagerResult<()>,
+    ) -> PagerResult<()> {
+        for r in self.table.scan_scope(base, scope) {
+            let e = r?;
+            if pred(&e) {
+                visit(&e)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Run a visit with a fresh result list on the table's pager as sink.
+    fn write_list(
+        &self,
+        run: impl FnOnce(&mut ListWriter<Entry>) -> PagerResult<()>,
+    ) -> PagerResult<PagedList<Entry>> {
+        let mut w = ListWriter::new(self.table.pager());
+        run(&mut w)?;
+        w.finish()
+    }
+
     /// Evaluate an atomic query via index probe, falling back to a scope
-    /// scan when no index applies.
+    /// scan when no index applies ([`Self::visit_atomic`] into a list).
     pub fn evaluate_atomic(
         &self,
         base: &Dn,
         scope: Scope,
         filter: &AtomicFilter,
     ) -> PagerResult<PagedList<Entry>> {
-        match self.probe(filter) {
-            Some(mut ids) => {
-                // Scope-filter by key, order by key.
-                let base_key = base.sort_key().clone();
-                ids.sort_unstable();
-                ids.dedup();
-                let mut hits: Vec<(&SortKey, EntryId)> = ids
-                    .into_iter()
-                    .filter_map(|id| self.keys.get(&id).map(|k| (k, id)))
-                    .filter(|(k, _)| match scope {
-                        Scope::Base => **k == base_key,
-                        Scope::Sub => base_key.subsumes(k),
-                        Scope::One => {
-                            base_key.subsumes(k)
-                                && k.depth() <= base_key.depth() + 1
-                        }
-                    })
-                    .collect();
-                hits.sort_by(|a, b| a.0.cmp(b.0));
-                let mut w = ListWriter::new(self.table.pager());
-                for (_, id) in hits {
-                    if let Some(e) = self.table.fetch(id)? {
-                        // Verify (substring candidates are approximate).
-                        if filter.matches(&e) {
-                            w.push(&e)?;
-                        }
-                    }
-                }
-                w.finish()
-            }
-            None => self.evaluate_scan(base, scope, filter),
-        }
+        self.write_list(|w| self.visit_atomic(base, scope, filter, |e| w.push(e)))
     }
 
     /// Evaluate an atomic query by scanning the scope's pages.
@@ -223,14 +259,13 @@ impl IndexedDirectory {
         scope: Scope,
         filter: &AtomicFilter,
     ) -> PagerResult<PagedList<Entry>> {
-        self.table.select_scope(base, scope, |e| filter.matches(e))
+        self.write_list(|w| self.visit_scope(base, scope, |e| filter.matches(e), |e| w.push(e)))
     }
 
     /// Evaluate a composite-filter LDAP query (the baseline language) by
     /// scope scan.
     pub fn evaluate_ldap(&self, q: &LdapQuery) -> PagerResult<PagedList<Entry>> {
-        self.table
-            .select_scope(&q.base, q.scope, |e| q.filter.matches(e))
+        self.evaluate_composite(&q.base, q.scope, &q.filter)
     }
 
     /// Evaluate a composite filter at (base, scope) — like
@@ -241,7 +276,7 @@ impl IndexedDirectory {
         scope: Scope,
         filter: &CompositeFilter,
     ) -> PagerResult<PagedList<Entry>> {
-        self.table.select_scope(base, scope, |e| filter.matches(e))
+        self.write_list(|w| self.visit_scope(base, scope, |e| filter.matches(e), |e| w.push(e)))
     }
 }
 

@@ -7,10 +7,17 @@
 //! scan pages sequentially until the keys leave the subtree. The I/O cost
 //! is `O(pages(scope) + log)` — this is the "distinguishedName B-tree" of
 //! Section 4.1 in bulk-loaded form.
+//!
+//! The table also keeps every entry's sort key in memory, in position
+//! order, so a scope is equally a *rank interval* `[lo, hi)` of positions
+//! (`DnTable::scope_range`): two binary searches, no I/O. Index probes
+//! use it to scope-filter candidates with one position lookup and an
+//! integer compare each.
 
-use netdir_model::{Dn, Entry, EntryId};
+use netdir_model::{Dn, Entry, EntryId, SortKey};
 use netdir_filter::Scope;
 use netdir_pager::{ListWriter, PagedList, Pager, PagerResult};
+use std::ops::Range;
 
 /// A static, sorted, paged table of entries with per-page fence keys.
 pub struct DnTable {
@@ -18,6 +25,8 @@ pub struct DnTable {
     list: PagedList<Entry>,
     /// First sort key on each page (in-memory metadata).
     fences: Vec<Vec<u8>>,
+    /// Sort key of the entry at each position (in-memory metadata).
+    keys: Vec<SortKey>,
     /// entry id → position in sorted order (for id-based fetch).
     id_to_pos: Vec<u32>,
     len: u64,
@@ -35,16 +44,15 @@ impl DnTable {
         // We reuse ListWriter and recompute fences from a scan: simpler and
         // build-time only. First pass: write the list.
         let mut w: ListWriter<Entry> = ListWriter::new(pager);
-        let mut keys: Vec<Vec<u8>> = Vec::new();
+        let mut keys: Vec<SortKey> = Vec::new();
         let mut max_id: EntryId = 0;
         let mut ids: Vec<EntryId> = Vec::new();
         for e in entries {
             debug_assert!(
-                keys.last()
-                    .is_none_or(|k| k[..] <= *e.dn().sort_key().as_bytes()),
+                keys.last().is_none_or(|k| k <= e.dn().sort_key()),
                 "DnTable::build requires sorted input"
             );
-            keys.push(e.dn().sort_key().as_bytes().to_vec());
+            keys.push(e.dn().sort_key().clone());
             ids.push(e.id());
             max_id = max_id.max(e.id());
             w.push(e)?;
@@ -62,6 +70,7 @@ impl DnTable {
             len: list.len(),
             list,
             fences,
+            keys,
             id_to_pos,
         })
     }
@@ -130,56 +139,62 @@ impl DnTable {
             })
     }
 
+    /// Position interval of the entries within `scope` of `base`: the
+    /// base alone for `Base` (empty when absent), its whole subtree for
+    /// `One` and `Sub` (a `One` caller still checks depth, see
+    /// [`Self::in_scope`]). Two binary searches over in-memory keys; no
+    /// I/O.
+    pub(crate) fn scope_range(&self, base: &Dn, scope: Scope) -> Range<u32> {
+        let prefix = base.sort_key();
+        let lo = self.keys.partition_point(|k| k < prefix);
+        let hi = match scope {
+            Scope::Base => lo + usize::from(self.keys.get(lo) == Some(prefix)),
+            // Keys below `prefix` sort first, then the subtree (every key
+            // extending it), then everything above.
+            Scope::One | Scope::Sub => lo + self.keys[lo..].partition_point(|k| prefix.subsumes(k)),
+        };
+        lo as u32..hi as u32
+    }
+
+    /// Whether position `pos` of `range` (from [`Self::scope_range`] for
+    /// the same `base` and `scope`) lies within the scope: only `One`
+    /// needs more than the interval, a depth check on the in-memory key.
+    pub(crate) fn in_scope(&self, range: &Range<u32>, pos: u32, base: &Dn, scope: Scope) -> bool {
+        range.contains(&pos)
+            && (scope != Scope::One || self.keys[pos as usize].depth() <= base.depth() + 1)
+    }
+
+    /// Position of entry `id` in sorted order, if the table holds it.
+    pub(crate) fn position(&self, id: EntryId) -> Option<u32> {
+        self.id_to_pos
+            .get(id as usize)
+            .copied()
+            .filter(|&pos| pos != u32::MAX)
+    }
+
+    /// Fetch the entry at position `pos` (one page read if cold).
+    pub(crate) fn get_at(&self, pos: u32) -> PagerResult<Option<Entry>> {
+        self.list.get(u64::from(pos))
+    }
+
     /// Fetch one entry by id (one page read if cold).
     pub fn fetch(&self, id: EntryId) -> PagerResult<Option<Entry>> {
-        let Some(&pos) = self.id_to_pos.get(id as usize) else {
-            return Ok(None);
-        };
-        if pos == u32::MAX {
-            return Ok(None);
+        match self.position(id) {
+            Some(pos) => self.get_at(pos),
+            None => Ok(None),
         }
-        self.list.get(pos as u64)
-    }
-
-    /// Fetch several ids, in the order given.
-    pub fn fetch_many(&self, ids: &[EntryId]) -> PagerResult<Vec<Entry>> {
-        let mut out = Vec::with_capacity(ids.len());
-        for &id in ids {
-            if let Some(e) = self.fetch(id)? {
-                out.push(e);
-            }
-        }
-        Ok(out)
-    }
-
-    /// Export a scope's entries satisfying `pred` as a fresh sorted
-    /// [`PagedList`] — the atomic-query result format.
-    pub fn select_scope(
-        &self,
-        base: &Dn,
-        scope: Scope,
-        mut pred: impl FnMut(&Entry) -> bool,
-    ) -> PagerResult<PagedList<Entry>> {
-        let mut w = ListWriter::new(&self.pager);
-        for r in self.scan_scope(base, scope) {
-            let e = r?;
-            if pred(&e) {
-                w.push(&e)?;
-            }
-        }
-        w.finish()
     }
 }
 
 /// Fence keys: the first record's sort key on each page, derived from the
 /// writer's per-page record counts (metadata; no I/O).
-fn page_fences(list: &PagedList<Entry>, keys: &[Vec<u8>]) -> Vec<Vec<u8>> {
+fn page_fences(list: &PagedList<Entry>, keys: &[SortKey]) -> Vec<Vec<u8>> {
     let counts = list.page_record_counts();
     debug_assert_eq!(counts.iter().map(|&c| c as usize).sum::<usize>(), keys.len());
     let mut fences = Vec::with_capacity(counts.len());
     let mut pos = 0usize;
     for c in counts {
-        fences.push(keys[pos].clone());
+        fences.push(keys[pos].as_bytes().to_vec());
         pos += c as usize;
     }
     fences
@@ -291,16 +306,26 @@ mod tests {
     }
 
     #[test]
-    fn select_scope_writes_sorted_list() {
-        let (t, _) = table();
-        let list = t
-            .select_scope(&dn("dc=att, dc=com"), Scope::Sub, |e| {
-                e.dn().to_string().contains("uid=")
-            })
-            .unwrap();
-        assert_eq!(list.len(), 2);
-        let v = list.to_vec().unwrap();
-        assert!(v[0].dn() < v[1].dn());
+    fn scope_ranges_match_scope_scans() {
+        let (t, d) = table();
+        let bases = std::iter::once(Dn::root())
+            .chain(d.iter_sorted().map(|e| e.dn().clone()))
+            .chain([dn("dc=net"), dn("ou=p, dc=att, dc=com")]);
+        for base in bases {
+            for scope in [Scope::Base, Scope::One, Scope::Sub] {
+                let range = t.scope_range(&base, scope);
+                let ranked: Vec<String> = range
+                    .clone()
+                    .filter(|&pos| t.in_scope(&range, pos, &base, scope))
+                    .map(|pos| t.get_at(pos).unwrap().unwrap().dn().to_string())
+                    .collect();
+                let scanned: Vec<String> = t
+                    .scan_scope(&base, scope)
+                    .map(|r| r.unwrap().dn().to_string())
+                    .collect();
+                assert_eq!(ranked, scanned, "({base} ? {scope})");
+            }
+        }
     }
 
     #[test]

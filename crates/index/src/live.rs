@@ -54,6 +54,18 @@ impl LiveIntIndex {
         }
     }
 
+    /// An index over `pairs` (any order) with its paged
+    /// base built once — the bulk-load path, linear in the pairs where
+    /// inserting them one by one would rebuild the base every
+    /// `COMPACT_THRESHOLD` inserts.
+    pub fn from_pairs(pager: &Pager, mut pairs: Vec<(i64, EntryId)>) -> PagerResult<LiveIntIndex> {
+        pairs.sort_unstable();
+        let mut idx = LiveIntIndex::new(pager);
+        idx.all = pairs;
+        idx.compact()?;
+        Ok(idx)
+    }
+
     /// Number of live pairs.
     pub fn len(&self) -> usize {
         self.all.len()
@@ -207,6 +219,17 @@ impl LiveSuffixIndex {
             removed_count: 0,
             threshold: COMPACT_THRESHOLD,
         }
+    }
+
+    /// An index over `occurrences` of `(canonical value, id)` with its
+    /// suffix-array base built once (the bulk-load path).
+    pub fn from_occurrences(occurrences: Vec<(String, EntryId)>) -> LiveSuffixIndex {
+        let mut idx = LiveSuffixIndex::new();
+        for (value, id) in occurrences {
+            idx.live.entry(id).or_default().push(value);
+        }
+        idx.compact();
+        idx
     }
 
     /// Number of live occurrences.

@@ -4,6 +4,8 @@
 //! for equality, B-trees for integer comparisons, suffix indexes for
 //! substrings, a presence map, and the id → sort-key table used for
 //! scope filtering — but maintained entry-by-entry as mutations land.
+//! The bootstrap ([`LiveIndexes::build`]) is a bulk pass that builds
+//! each paged base once.
 //! Probe semantics are kept identical so query plans behave the same
 //! against a live store as against a bulk-loaded one: candidates may
 //! over-approximate (they are verified at fetch), never miss.
@@ -38,15 +40,52 @@ impl LiveIndexes {
         }
     }
 
-    /// Build from existing entries (the bootstrap path).
+    /// Build from existing entries (the bootstrap path) in one bulk
+    /// pass: collect every pair, then build each int and suffix base
+    /// once. Linear in the pairs; the answers equal those of inserting
+    /// the entries one by one.
     pub fn build<'a>(
         pager: &Pager,
         entries: impl Iterator<Item = &'a Entry>,
     ) -> PagerResult<LiveIndexes> {
         let mut idx = LiveIndexes::new(pager);
-        for e in entries {
-            idx.insert_entry(e)?;
+        let mut int_pairs: BTreeMap<AttrName, Vec<(i64, EntryId)>> = BTreeMap::new();
+        let mut occurrences: BTreeMap<AttrName, Vec<(String, EntryId)>> = BTreeMap::new();
+        for entry in entries {
+            idx.keys.insert(entry.id(), entry.dn().sort_key().clone());
+            let mut seen: Option<&AttrName> = None;
+            for (a, v) in entry.pairs() {
+                if seen != Some(a) {
+                    seen = Some(a);
+                    idx.presence.entry(a.clone()).or_default().push(entry.id());
+                }
+                let canonical = v.canonical();
+                idx.tries
+                    .entry(a.clone())
+                    .or_default()
+                    .insert(&canonical, entry.id());
+                if let Value::Int(i) = v {
+                    int_pairs
+                        .entry(a.clone())
+                        .or_default()
+                        .push((*i, entry.id()));
+                }
+                occurrences
+                    .entry(a.clone())
+                    .or_default()
+                    .push((canonical, entry.id()));
+            }
         }
+        for ids in idx.presence.values_mut() {
+            ids.sort_unstable();
+        }
+        for (a, pairs) in int_pairs {
+            idx.ints.insert(a, LiveIntIndex::from_pairs(pager, pairs)?);
+        }
+        idx.suffixes = occurrences
+            .into_iter()
+            .map(|(a, occ)| (a, LiveSuffixIndex::from_occurrences(occ)))
+            .collect();
         Ok(idx)
     }
 
@@ -230,6 +269,135 @@ mod tests {
             d.get(id).unwrap().clone()
         };
         entry
+    }
+
+    /// `n` people under `dc=com` with ints, strings, a DN reference, and
+    /// an attribute only some carry.
+    fn people(d: &mut netdir_model::Directory, from: usize, n: usize) -> Vec<Entry> {
+        (from..from + n)
+            .map(|i| {
+                let mut b = Entry::builder(dn(&format!("uid=u{i}, dc=com")))
+                    .class("person")
+                    .attr("surName", format!("name{}", i % 17))
+                    .attr("priority", (i % 11) as i64)
+                    .attr("age", (i * 7 % 90) as i64)
+                    .attr("manager", dn(&format!("uid=u{}, dc=com", i / 2)));
+                if i % 3 == 0 {
+                    b = b.attr("tag", "x");
+                }
+                let id = d.insert(b.build().unwrap()).unwrap();
+                d.get(id).unwrap().clone()
+            })
+            .collect()
+    }
+
+    /// One filter of every kind, each op of the int comparison included.
+    fn every_filter_kind() -> Vec<AtomicFilter> {
+        let mut out = vec![
+            AtomicFilter::True,
+            AtomicFilter::False,
+            AtomicFilter::present("tag"),
+            AtomicFilter::present("ghost"),
+            AtomicFilter::eq("surName", "name3"),
+            AtomicFilter::DnEq("manager".into(), dn("uid=u5, dc=com")),
+            netdir_filter::parse_atomic("surName=*ame1*").unwrap(),
+            netdir_filter::parse_atomic("surName=name1*").unwrap(),
+            AtomicFilter::int_cmp("ghost", IntOp::Lt, 3),
+        ];
+        for op in [IntOp::Lt, IntOp::Le, IntOp::Gt, IntOp::Ge, IntOp::Eq] {
+            out.push(AtomicFilter::int_cmp("priority", op, 5));
+            out.push(AtomicFilter::int_cmp("age", op, 42));
+        }
+        out
+    }
+
+    fn incremental_build(pager: &Pager, entries: &[Entry]) -> LiveIndexes {
+        let mut idx = LiveIndexes::new(pager);
+        for e in entries {
+            idx.insert_entry(e).unwrap();
+        }
+        idx
+    }
+
+    /// Same candidate sets for every filter kind (the trie lists ids in
+    /// insertion order, so lists are compared sorted).
+    fn assert_same_probes(bulk: &LiveIndexes, incremental: &LiveIndexes, when: &str) {
+        assert_eq!(bulk.len(), incremental.len(), "{when}");
+        let sorted = |ids: Option<Vec<EntryId>>| {
+            ids.map(|mut ids| {
+                ids.sort_unstable();
+                ids
+            })
+        };
+        for f in every_filter_kind() {
+            assert_eq!(
+                sorted(bulk.probe(&f)),
+                sorted(incremental.probe(&f)),
+                "{when}: {f}"
+            );
+        }
+    }
+
+    #[test]
+    fn bulk_build_answers_like_incremental_build() {
+        let mut d = netdir_model::Directory::new();
+        let mut live = people(&mut d, 0, 300);
+        let pager = tiny_pager();
+        let mut bulk = LiveIndexes::build(&pager, live.iter()).unwrap();
+        let mut incremental = incremental_build(&pager, &live);
+        assert_same_probes(&bulk, &incremental, "after build");
+
+        // Mixed mutations, enough to cross the overlay threshold: removes,
+        // fresh inserts, and modifies (remove plus re-insert).
+        for step in 0..200usize {
+            match step % 3 {
+                0 => {
+                    let victim = live.swap_remove((step * 7) % live.len());
+                    bulk.remove_entry(&victim).unwrap();
+                    incremental.remove_entry(&victim).unwrap();
+                }
+                1 => {
+                    let fresh = people(&mut d, 1000 + step, 1).remove(0);
+                    bulk.insert_entry(&fresh).unwrap();
+                    incremental.insert_entry(&fresh).unwrap();
+                    live.push(fresh);
+                }
+                _ => {
+                    let old = live.swap_remove((step * 13) % live.len());
+                    d.remove(old.dn()).unwrap();
+                    let new = people(&mut d, 5000 + step, 1).remove(0);
+                    for idx in [&mut bulk, &mut incremental] {
+                        idx.remove_entry(&old).unwrap();
+                        idx.insert_entry(&new).unwrap();
+                    }
+                    live.push(new);
+                }
+            }
+        }
+        assert_same_probes(&bulk, &incremental, "after mutations");
+        assert_same_probes(
+            &bulk,
+            &incremental_build(&pager, &live),
+            "against a fresh build",
+        );
+    }
+
+    #[test]
+    fn bulk_build_page_writes_grow_linearly() {
+        let writes = |n: usize| {
+            let mut d = netdir_model::Directory::new();
+            let entries = people(&mut d, 0, n);
+            let pager = tiny_pager();
+            LiveIndexes::build(&pager, entries.iter()).unwrap();
+            pager.flush().unwrap();
+            pager.io().writes
+        };
+        let (at_n, at_2n) = (writes(1000), writes(2000));
+        assert!(at_n > 0);
+        assert!(
+            at_2n * 10 <= at_n * 22,
+            "page writes {at_n} at n, {at_2n} at 2n: superlinear build"
+        );
     }
 
     #[test]

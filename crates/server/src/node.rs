@@ -4,13 +4,17 @@
 //! Nodes answer atomic queries (and baseline LDAP queries) over a
 //! crossbeam channel. Entries cross the "wire" in their on-page encoding,
 //! so shipped bytes are measured with the same codec the pager uses.
+//!
+//! A node encodes each hit straight into the reply as its store visits
+//! it: no result list is written, so the store's pager allocates no page
+//! after the build however many queries the node answers.
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use netdir_filter::{AtomicFilter, CompositeFilter, Scope};
 use netdir_index::IndexedDirectory;
 use netdir_model::{Directory, Dn, Entry};
 use netdir_pager::record::Record;
-use netdir_pager::{Pager, PagerError};
+use netdir_pager::{Pager, PagerError, PagerResult};
 use std::thread::JoinHandle;
 
 /// Configuration of one server.
@@ -171,11 +175,8 @@ fn node_loop(config: ServerConfig, entries: Vec<Entry>, receiver: Receiver<Reque
                 filter,
                 reply,
             } => {
-                let result = idx
-                    .evaluate_atomic(&base, scope, &filter)
-                    .and_then(|list| encode_list(&list))
-                    .map_err(|e| e.to_string());
-                let _ = reply.send(result);
+                let result = encode_reply(|visit| idx.visit_atomic(&base, scope, &filter, visit));
+                let _ = reply.send(result.map_err(|e| e.to_string()));
             }
             Request::Ldap {
                 base,
@@ -183,26 +184,27 @@ fn node_loop(config: ServerConfig, entries: Vec<Entry>, receiver: Receiver<Reque
                 filter,
                 reply,
             } => {
-                let result = idx
-                    .evaluate_composite(&base, scope, &filter)
-                    .and_then(|list| encode_list(&list))
-                    .map_err(|e| e.to_string());
-                let _ = reply.send(result);
+                let result = encode_reply(|visit| {
+                    idx.visit_scope(&base, scope, |e| filter.matches(e), visit)
+                });
+                let _ = reply.send(result.map_err(|e| e.to_string()));
             }
         }
     }
 }
 
-fn encode_list(
-    list: &netdir_pager::PagedList<Entry>,
-) -> Result<Vec<Vec<u8>>, PagerError> {
+/// Run a store visit with an encoder as its sink: the wire reply, one
+/// encoded entry per hit, in visit (key) order.
+fn encode_reply(
+    run: impl FnOnce(&mut dyn FnMut(&Entry) -> PagerResult<()>) -> PagerResult<()>,
+) -> PagerResult<Vec<Vec<u8>>> {
     let mut out = Vec::new();
-    for e in list.iter() {
-        let e = e?;
+    run(&mut |e| {
         let mut buf = Vec::new();
         e.encode(&mut buf);
         out.push(buf);
-    }
+        Ok(())
+    })?;
     Ok(out)
 }
 
@@ -266,6 +268,127 @@ mod tests {
         let f = netdir_filter::parse_composite("(&(surName=jagadish)(uid=a))").unwrap();
         let hits = node.ldap(&dn("dc=att, dc=com"), Scope::Sub, &f).unwrap();
         assert_eq!(hits.len(), 1);
+    }
+
+    /// The node store of `entries`, built as `node_loop` builds it.
+    fn store(pager: &Pager, entries: Vec<Entry>) -> IndexedDirectory {
+        let mut dir = Directory::new();
+        for e in entries {
+            dir.insert(e).unwrap();
+        }
+        IndexedDirectory::build(pager, &dir).unwrap()
+    }
+
+    /// A reply encoded the list way: evaluate into a paged result list,
+    /// read it back, encode each entry.
+    fn list_encoding(
+        idx: &IndexedDirectory,
+        base: &Dn,
+        scope: Scope,
+        f: &AtomicFilter,
+    ) -> Vec<Vec<u8>> {
+        let list = idx.evaluate_atomic(base, scope, f).unwrap();
+        list.iter()
+            .map(|e| {
+                let mut buf = Vec::new();
+                e.unwrap().encode(&mut buf);
+                buf
+            })
+            .collect()
+    }
+
+    /// Seeded random atomics over a TOPS directory: every filter kind,
+    /// every scope, bases that exist, the root, and one that is absent.
+    fn random_atomics(dir: &Directory, n: usize, seed: u64) -> Vec<(Dn, Scope, AtomicFilter)> {
+        use netdir_filter::atomic::IntOp;
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let dns: Vec<Dn> = dir.iter_sorted().map(|e| e.dn().clone()).collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| {
+                let base = match rng.gen_range(0..10) {
+                    0 => Dn::root(),
+                    1 => dn("uid=user00, ou=userProfiles, dc=research, dc=att, dc=com"),
+                    _ => dns[rng.gen_range(0..dns.len())].clone(),
+                };
+                let scope = [Scope::Base, Scope::One, Scope::Sub][rng.gen_range(0..3)];
+                let v = rng.gen_range(0..10i64);
+                let op =
+                    [IntOp::Lt, IntOp::Le, IntOp::Gt, IntOp::Ge, IntOp::Eq][rng.gen_range(0..5)];
+                let filter = match rng.gen_range(0..8) {
+                    0 => AtomicFilter::True,
+                    1 => AtomicFilter::False,
+                    2 => AtomicFilter::present("startTime"),
+                    3 => AtomicFilter::eq("objectClass", "callAppearance"),
+                    4 => AtomicFilter::eq("surName", format!("family{v:02}")),
+                    5 => AtomicFilter::int_cmp("priority", op, v % 4),
+                    6 => netdir_filter::parse_atomic(&format!("commonName=*{v}*")).unwrap(),
+                    _ => AtomicFilter::DnEq(
+                        "member".into(),
+                        dns[rng.gen_range(0..dns.len())].clone(),
+                    ),
+                };
+                (base, scope, filter)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn node_replies_match_list_encoding() {
+        let dir = netdir_workloads::tops_generate(netdir_workloads::TopsParams::default(), 7);
+        let entries: Vec<Entry> = dir.iter_sorted().cloned().collect();
+        let reference = store(&Pager::new(4096, 64), entries.clone());
+        let node = ServerNode::spawn(ServerConfig::new("root", Dn::root()), entries);
+        let mut hits = 0;
+        for (base, scope, filter) in random_atomics(&dir, 1000, 11) {
+            let (reply, rx) = unbounded();
+            node.sender()
+                .send(Request::Atomic {
+                    base: base.clone(),
+                    scope,
+                    filter: filter.clone(),
+                    reply,
+                })
+                .unwrap();
+            let streamed = rx.recv().unwrap().unwrap();
+            let expect = list_encoding(&reference, &base, scope, &filter);
+            assert_eq!(streamed, expect, "({base} ? {scope} ? {filter})");
+            hits += streamed.len();
+        }
+        assert!(hits > 1000, "the sample must return entries, got {hits}");
+    }
+
+    #[test]
+    fn streamed_answers_write_and_allocate_no_page() {
+        let dir = netdir_workloads::tops_generate(netdir_workloads::TopsParams::default(), 3);
+        // A pool far smaller than the table, so reads evict.
+        let pager = Pager::new(1024, 4);
+        let idx = store(&pager, dir.iter_sorted().cloned().collect());
+        pager.flush().unwrap();
+        let pages = pager.pool().num_pages();
+        pager.reset_io();
+        let ldap = netdir_filter::parse_composite("(&(objectClass=QHP)(priority>=2))").unwrap();
+        let mut shipped = 0;
+        for (base, scope, filter) in random_atomics(&dir, 200, 5) {
+            shipped += encode_reply(|visit| idx.visit_atomic(&base, scope, &filter, visit))
+                .unwrap()
+                .len();
+            shipped +=
+                encode_reply(|visit| idx.visit_scope(&base, scope, |e| ldap.matches(e), visit))
+                    .unwrap()
+                    .len();
+        }
+        let io = pager.io();
+        assert!(
+            shipped > 0 && io.reads > 0,
+            "the answers must read the store"
+        );
+        assert_eq!(
+            (io.writes, io.allocs),
+            (0, 0),
+            "serving wrote or allocated pages"
+        );
+        assert_eq!(pager.pool().num_pages(), pages);
     }
 
     #[test]

@@ -24,8 +24,11 @@
 #                                   explicitly: the crash-recovery
 #                                   torture suite (WAL truncated at
 #                                   every byte), the snapshot-isolation
-#                                   property suite, and the journal
-#                                   unit tests
+#                                   property suite, the journal unit
+#                                   tests, and the live-index bulk-build
+#                                   tests (bulk and incremental builds
+#                                   probe alike; build page writes grow
+#                                   linearly)
 #   scripts/check.sh --load-smoke   gate + the overload guards run
 #                                   explicitly: the daemon's admission/
 #                                   deadline tests, the overload chaos
@@ -45,7 +48,13 @@
 #                                   tests (two-queue policy, the
 #                                   eviction no-full-scan regression),
 #                                   the seeded scan-resistance suite,
-#                                   and the compression/scan-mix sweep
+#                                   the rank-range scope-filtering
+#                                   property suite, the node-store
+#                                   streaming tests (replies byte-
+#                                   identical to the list encoding, no
+#                                   page written or allocated while
+#                                   serving), and the compression/
+#                                   scan-mix sweep
 #                                   landing in target/BENCH_smoke.json
 #                                   (schema validated, the ≥20%
 #                                   cold-read reduction and the scan-mix
@@ -137,6 +146,7 @@ if [ "$wal_smoke" = 1 ]; then
   cargo test -q -p netdir-journal
   cargo test -q -p netdir-journal --test recovery_torture
   cargo test -q -p netdir-journal --test snapshot_prop
+  cargo test -q -p netdir-journal --lib bulk_build
   cargo test -q -p netdir-bench mutation
 fi
 
@@ -167,6 +177,8 @@ if [ "$storage_smoke" = 1 ]; then
   echo "check.sh: running storage-engine guards"
   cargo test -q -p netdir-pager --lib
   cargo test -q -p netdir-pager --test scan_resistance
+  cargo test -q -p netdir-index --test rank_range_prop
+  cargo test -q -p netdir-server --lib node::
   cargo test -q --release -p netdir-bench --lib storage
   cargo run --release -q -p netdir-bench --bin run_experiments -- \
     --smoke --json target/BENCH_smoke.json
